@@ -19,10 +19,7 @@
 // ({"table": [w0, w1, …], "default": w}) creates a dataset whose
 // kcover queries maximize total covered weight; snapshots persist the
 // weight table, so weighted namespaces survive restarts like any
-// other. -engine sieve (or POST /v1/ns with "engine": "sieve") selects
-// the constant-memory sieve-streaming engine instead of the sketch: at
-// most k candidate sets are buffered per shard and kcover answers
-// exactly over them (outliers/greedy are rejected). -engine dynamic
+// other. -engine dynamic (or POST /v1/ns with "engine": "dynamic")
 // selects the insert/delete L0-sampler engine (DESIGN.md §14): the only
 // mode that accepts delete ops — DELETE /v1/…/edges, POST bodies with
 // "ops", and wire op batches retract edges; the other modes reject them
@@ -126,7 +123,7 @@ func main() {
 		shards     = flag.Int("shards", 4, "ingest worker shards")
 		queue      = flag.Int("queue", 64, "per-shard queue depth, in batches")
 		mergeEvery = flag.Duration("merge-every", 0, "periodic snapshot merge (0 = on demand only)")
-		engine     = flag.String("engine", "", "engine mode for the bootstrap namespace: sketch (default), sieve, dynamic")
+		engine     = flag.String("engine", "", "engine mode for the bootstrap namespace: sketch (default) or dynamic")
 		nsName     = flag.String("ns", server.DefaultNamespace, "bootstrap namespace the sketch flags configure (and the unprefixed routes serve)")
 		snapFile   = flag.String("snapshot-file", "", "persist/restore all namespaces here (v2; v1 files restore into -ns)")
 		maxBatch   = flag.Int("max-batch", 1<<20, "largest accepted ingest batch, in edges")
@@ -195,11 +192,8 @@ func main() {
 				os.Exit(1)
 			}
 			if cfg.Restore != nil {
-				fmt.Fprintf(os.Stderr, "covserved: restored v1 sketch (%d kept edges) from %s into namespace %s\n",
-					cfg.Restore.Edges(), *snapFile, *nsName)
-			} else if cfg.RestoreState != nil {
-				fmt.Fprintf(os.Stderr, "covserved: restored %s state from %s into namespace %s\n",
-					cfg.Engine, *snapFile, *nsName)
+				fmt.Fprintf(os.Stderr, "covserved: restored single-state snapshot (%d kept edges) from %s into namespace %s\n",
+					cfg.Restore.Stats().EdgesKept, *snapFile, *nsName)
 			} else {
 				fmt.Fprintf(os.Stderr, "covserved: restored %d namespace(s) from %s\n",
 					len(multi.List()), *snapFile)

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -493,5 +495,31 @@ func TestWireIngestAndMetricsEndToEnd(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatalf("covserved did not exit after SIGTERM\n%s", stderr.Bytes())
+	}
+}
+
+// TestEngineFlagRejectsRemovedMode runs the real binary with -engine
+// sieve: the bootstrap namespace cannot be created, so covserved exits
+// 1 before listening, naming the removal.
+func TestEngineFlagRejectsRemovedMode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the covserved binary")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "covserved")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building covserved: %v\n%s", err, out)
+	}
+	// A regression would start serving instead of exiting; the deadline
+	// turns that into a failure rather than a hung test.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, "-n", "20", "-k", "3", "-addr", "127.0.0.1:0", "-engine", "sieve").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("covserved -engine sieve: err %v, want exit status 1\n%s", err, out)
+	}
+	if !strings.Contains(string(out), server.ErrModeRemoved.Error()) {
+		t.Fatalf("covserved -engine sieve output does not name the removal:\n%s", out)
 	}
 }

@@ -2,10 +2,10 @@
 // cluster via anti-entropy sketch exchange. Each node ingests its own
 // partition of the edge stream into a local server.Multi; a background
 // loop periodically pulls every peer's serialized merged state (v1
-// sketch blobs for unweighted namespaces, weighted.BankMagic class
-// banks for weighted ones, sieve.Magic swap buffers for sieve
-// namespaces) over GET /v1/cluster/sketch and keeps the last
-// successfully decoded state per (peer, namespace). Queries are
+// sketch blobs for sketch namespaces, weighted.BankMagic class banks
+// for weighted ones, L0DYNS1 samplers for dynamic namespaces) over
+// GET /v1/cluster/sketch and keeps the last successfully decoded state
+// per (peer, namespace). Queries are
 // answered from a cluster view: the local engine snapshot folded with
 // the remote states through the engine mode's merge
 // (server.Mode.MergeStates). For the sketch modes that fold is the
@@ -448,8 +448,6 @@ func stateNoun(mode server.ModeName) string {
 	switch mode {
 	case server.ModeWeighted:
 		return "bank"
-	case server.ModeSieve:
-		return "sieve buffer"
 	case server.ModeDynamic:
 		return "sampler"
 	}

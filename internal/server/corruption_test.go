@@ -11,7 +11,7 @@ import (
 // truncated or bit-flipped v2 container, v1-format state blob, or WAL
 // segment must surface as a clear error (or, for a WAL's torn tail, a
 // clean prefix recovery) — never a panic and never silently wrong
-// state — across all three engine modes.
+// state — across the append-only engine modes (durModes).
 
 // buildContainer returns v2 container bytes holding one namespace per
 // engine mode, each with a little ingested data.
@@ -151,8 +151,8 @@ func TestCorruptV1BlobPerMode(t *testing.T) {
 // TestCorruptWALPerMode starts a durable engine over damaged WAL
 // segments: a flipped frame in the only segment is a torn tail (clean
 // prefix recovery), while a flipped or missing middle segment with
-// acknowledged successors is a gap and must be a clear error — for all
-// three modes.
+// acknowledged successors is a gap and must be a clear error — for
+// every mode in durModes.
 func TestCorruptWALPerMode(t *testing.T) {
 	for _, mode := range durModes {
 		t.Run(string(mode), func(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 )
 
 // durConfig returns a small engine config for durability tests in the
-// given mode ("sketch", "weighted", "sieve").
+// given mode ("sketch", "weighted").
 func durConfig(mode ModeName) Config {
 	cfg := Config{
 		NumSets:  40,
@@ -31,8 +31,6 @@ func durConfig(mode ModeName) Config {
 			table[i] = float64(1 + i%7)
 		}
 		cfg.Weights = &WeightConfig{Table: table, Default: 1}
-	case ModeSieve:
-		cfg.Engine = ModeSieve
 	}
 	return cfg
 }
@@ -84,12 +82,13 @@ func prefixRef(t *testing.T, cfg Config, batches [][]bipartite.Edge, n int) []by
 	return stateBytes(t, e)
 }
 
-var durModes = []ModeName{ModeSketch, ModeWeighted, ModeSieve}
+var durModes = []ModeName{ModeSketch, ModeWeighted}
 
 // TestCrashRecoveryBitIdentical sweeps an injected crash across the WAL
 // byte range: for every crash point, a recovered engine's merged state
 // must serialize to exactly the bytes of an uncrashed engine that
-// ingested the acknowledged batch prefix — for all three engine modes.
+// ingested the acknowledged batch prefix — for every append-only engine
+// mode (durability_dynamic_test.go covers the dynamic mode's op log).
 // (Canonical serialization means equal bytes ⇔ equal state.)
 func TestCrashRecoveryBitIdentical(t *testing.T) {
 	for _, mode := range durModes {
@@ -171,13 +170,9 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 // uncovered tail. The pinned invariant is that a crash is
 // indistinguishable from a clean restart at the same point — recovered
 // bytes equal a clean restore-from-checkpoint followed by direct
-// ingestion of the acknowledged tail. For sketch and weighted the test
-// additionally pins that reference to the engine that never restarted
-// at all (merge-composability makes restore + tail = straight-through);
-// the sieve buffer is order- and merge-path-dependent by design
-// (DESIGN.md §11), so there any restart — crashed or clean — legally
-// diverges from the never-restarted engine, and bit-identical recovery
-// means equality with the clean restart.
+// ingestion of the acknowledged tail. The test additionally pins that
+// reference to the engine that never restarted at all
+// (merge-composability makes restore + tail = straight-through).
 func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
 	for _, mode := range durModes {
 		t.Run(string(mode), func(t *testing.T) {
@@ -244,12 +239,10 @@ func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
 				}
 				b := stateBytes(t, e)
 				e.Close()
-				if mode != ModeSieve {
-					// Merge-composability: for sketch and weighted, the clean
-					// restart equals the engine that never restarted.
-					if direct := prefixRef(t, base, batches, n); !bytes.Equal(b, direct) {
-						t.Fatalf("restart reference diverged from straight-through engine at %d batches", n)
-					}
+				// Merge-composability: the clean restart equals the engine
+				// that never restarted.
+				if direct := prefixRef(t, base, batches, n); !bytes.Equal(b, direct) {
+					t.Fatalf("restart reference diverged from straight-through engine at %d batches", n)
 				}
 				refs[n] = b
 				return b
@@ -330,7 +323,7 @@ func TestMultiDurabilityLifecycle(t *testing.T) {
 	m := NewMulti("")
 	m.SetDurability(dur)
 	cfgA := durConfig(ModeSketch)
-	cfgB := durConfig(ModeSieve)
+	cfgB := durConfig(ModeWeighted)
 	if _, err := m.Create("alpha", cfgA); err != nil {
 		t.Fatalf("Create(alpha): %v", err)
 	}

@@ -83,9 +83,8 @@ type Config struct {
 	QueryCache int
 
 	// Engine selects the engine mode by name: ModeSketch (the default),
-	// ModeWeighted (also implied by Weights) or ModeSieve, the
-	// constant-memory swap-buffer engine that keeps at most K candidate
-	// sets per shard. See EngineMode for the resolution rules.
+	// ModeWeighted (also implied by Weights) or ModeDynamic, the
+	// insert/delete L0 sampler. See EngineMode for the resolution rules.
 	Engine ModeName
 
 	// Weights, when non-nil, switches the engine into weighted-coverage
@@ -114,19 +113,11 @@ type Config struct {
 	OnRefreshError func(error)
 
 	// Restore, when non-nil, seeds the engine with a previously persisted
-	// sketch (see Engine.WriteSnapshot / core.ReadSketch). The restored
-	// sketch must have been produced by a service with the same Config.
-	// Weighted engines restore through RestoreWeighted instead.
-	Restore *core.Sketch
-	// RestoreWeighted, when non-nil, seeds a weighted engine with a
-	// previously persisted class bank (see weighted.ReadBank); requires
-	// Weights. NewFromSnapshot fills the right field from raw bytes.
-	RestoreWeighted *weighted.Bank
-	// RestoreState, when non-nil, seeds the engine with a decoded shard
-	// state of the configured mode — the mode-generic restore slot the
-	// sieve engine uses (ReadRestore fills it). The typed Restore /
-	// RestoreWeighted fields remain for the two original modes.
-	RestoreState ShardState
+	// state of the configured mode (see Engine.WriteSnapshot). It must
+	// have been produced by a service with the same Config; a state of
+	// another mode fails New. ReadRestore / NewFromSnapshot decode it from
+	// raw bytes.
+	Restore ShardState
 }
 
 func (c Config) shards() int {
@@ -261,7 +252,7 @@ type Snapshot struct {
 	IngestedEdges int64
 
 	mode    Mode             // the engine mode the state belongs to
-	state   ShardState       // merged state (sketch / bank / sieve buffer)
+	state   ShardState       // merged state (sketch / bank / L0 sampler)
 	weights []float64        // weighted: scaled union element weights
 	graph   *bipartite.Graph // materialized (union) graph queries run on
 	ids     []uint32         // graph element id -> original element id
@@ -306,8 +297,7 @@ func (s *Snapshot) keptEdges() int { return s.state.Stats().EdgesKept }
 
 // pStar is the sampling probability of the merged state; a weighted
 // snapshot reports its smallest class probability (each class is an
-// independent subsample, so there is no single p*), and a sieve
-// snapshot reports 1 (the buffer holds true element ids, unsampled).
+// independent subsample, so there is no single p*).
 func (s *Snapshot) pStar() float64 { return s.state.Stats().PStar }
 
 // Graph returns the snapshot state materialized as a bipartite graph
@@ -317,7 +307,7 @@ func (s *Snapshot) pStar() float64 { return s.state.Stats().PStar }
 func (s *Snapshot) Graph() *bipartite.Graph { return s.graph }
 
 // WriteState serializes the snapshot's merged state in its mode's wire
-// format (v1 sketch, weighted.BankMagic bank, or sieve.Magic buffer).
+// format (v1 sketch, weighted.BankMagic bank, or L0DYNS1 sampler).
 // These are the exact bytes Engine.WriteSnapshot persists and
 // /v1/cluster/sketch serves — one wire format for disk and peers. Safe
 // on a published snapshot: WriteTo only reads, and any lazy
@@ -424,33 +414,14 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Weights.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Weights == nil && cfg.RestoreWeighted != nil {
-		return nil, fmt.Errorf("server: RestoreWeighted requires Weights")
-	}
-	if cfg.Weights != nil && cfg.Restore != nil {
-		return nil, fmt.Errorf("server: a weighted engine restores through RestoreWeighted, not Restore")
-	}
 	// Private copy: the engine outlives the caller's table.
 	cfg.Weights = cfg.Weights.clone()
 	mode, err := cfg.EngineMode()
 	if err != nil {
 		return nil, err
 	}
-	// Normalize the typed restore fields into one mode-checked state.
-	restore := cfg.RestoreState
-	if cfg.Restore != nil {
-		if restore != nil {
-			return nil, fmt.Errorf("server: Restore and RestoreState are mutually exclusive")
-		}
-		restore = sketchState{cfg.Restore}
-	}
-	if cfg.RestoreWeighted != nil {
-		if restore != nil {
-			return nil, fmt.Errorf("server: RestoreWeighted and RestoreState are mutually exclusive")
-		}
-		restore = bankState{cfg.RestoreWeighted}
-	}
-	cfg.Restore, cfg.RestoreWeighted, cfg.RestoreState = nil, nil, nil
+	restore := cfg.Restore
+	cfg.Restore = nil
 
 	states := make([]ShardState, cfg.shards())
 	for i := range states {
@@ -518,7 +489,7 @@ func New(cfg Config) (*Engine, error) {
 // EngineMode returns the engine's resolved mode.
 func (e *Engine) EngineMode() Mode { return e.mode }
 
-// ModeName returns the engine's mode name ("sketch", "weighted", "sieve").
+// ModeName returns the engine's mode name ("sketch", "weighted", "dynamic").
 func (e *Engine) ModeName() ModeName { return e.mode.Name() }
 
 // SupportsDeletes reports whether the engine's mode accepts delete ops
@@ -839,8 +810,6 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 func (e *Engine) Config() Config {
 	cfg := e.cfg
 	cfg.Restore = nil
-	cfg.RestoreWeighted = nil
-	cfg.RestoreState = nil
 	cfg.Weights = cfg.Weights.clone()
 	return cfg
 }
@@ -968,9 +937,9 @@ type QueryResult struct {
 	// classes in the snapshot bank.
 	Weighted      bool `json:"weighted,omitempty"`
 	WeightClasses int  `json:"weight_classes,omitempty"`
-	// Engine names the engine mode for results from a non-default mode
-	// (currently only "sieve"); empty for the sketch and weighted planes,
-	// whose result shape predates the field.
+	// Engine names the engine mode for results from a mode other than
+	// sketch and weighted ("dynamic"); empty for those two planes, whose
+	// result shape predates the field.
 	Engine ModeName `json:"engine,omitempty"`
 	// SnapshotSeq and SnapshotEdges identify the snapshot; a query issued
 	// during ingestion reports the merge it was served from.
@@ -983,14 +952,13 @@ type QueryResult struct {
 // and the cluster query plane share it so a malformed query is rejected
 // identically everywhere.
 func ValidateQuery(q Query, mode ModeName) error {
-	isWeighted := mode == ModeWeighted
 	switch q.Algo {
 	case AlgoKCover:
 		if q.K <= 0 {
 			return fmt.Errorf("server: kcover query needs positive k")
 		}
 	case AlgoWeightedKCover:
-		if !isWeighted {
+		if mode != ModeWeighted {
 			return fmt.Errorf("server: wkcover requires a weighted engine (configure Weights)")
 		}
 		if q.K <= 0 {
@@ -1004,20 +972,11 @@ func ValidateQuery(q Query, mode ModeName) error {
 	default:
 		return fmt.Errorf("server: unknown query algo %q", q.Algo)
 	}
-	if isWeighted && (q.Algo == AlgoOutliers || q.Algo == AlgoGreedy) {
-		return fmt.Errorf("server: algo %q is not defined on a weighted engine (weighted coverage serves kcover)", q.Algo)
-	}
-	if mode == ModeSieve && (q.Algo == AlgoOutliers || q.Algo == AlgoGreedy) {
-		// The sieve buffer keeps at most K candidate sets — partial and
-		// full set cover over that residue would answer a different
-		// question than the algorithms promise.
-		return fmt.Errorf("server: algo %q is not defined on a sieve engine (sieve serves kcover)", q.Algo)
-	}
-	if mode == ModeDynamic && (q.Algo == AlgoOutliers || q.Algo == AlgoGreedy) {
-		// The dynamic sampler recovers a p*-sample sized for k-cover
-		// estimation; the outlier and full-cover guarantees are only
-		// analyzed for the append-only sketch.
-		return fmt.Errorf("server: algo %q is not defined on a dynamic engine (dynamic serves kcover)", q.Algo)
+	if mode != ModeSketch && (q.Algo == AlgoOutliers || q.Algo == AlgoGreedy) {
+		// The outlier and full-cover guarantees are only analyzed for the
+		// append-only sketch: weighted coverage and the dynamic sampler's
+		// p*-sample are sized for k-cover estimation.
+		return fmt.Errorf("server: algo %q is not defined on a %s engine (it serves kcover only)", q.Algo, mode)
 	}
 	return nil
 }
@@ -1091,11 +1050,10 @@ func safeEstimate(covered int, pStar float64) float64 {
 
 // WriteSnapshot merges and persists the service state in the engine
 // mode's wire format: a sketch engine writes its merged sketch (v1
-// format, restorable through core.ReadSketch into Config.Restore), a
-// weighted engine its merged class bank (weighted.BankMagic framing,
-// restorable into Config.RestoreWeighted), a sieve engine its merged
-// swap buffer (sieve.Magic framing, restorable into Config.RestoreState).
-// ReadRestore / NewFromSnapshot decode any of them from the config. The
+// format), a weighted engine its merged class bank (weighted.BankMagic
+// framing), a dynamic engine its merged sampler (L0DYNS1 framing).
+// ReadRestore / NewFromSnapshot decode any of them from the config into
+// Config.Restore. The
 // persisted state carries the engine's true ingested-edge total (a
 // merged state only counts the kept edges it replayed), so accounting
 // survives restore.
@@ -1123,11 +1081,8 @@ func (e *Engine) WriteSnapshot(w io.Writer) (*Snapshot, error) {
 }
 
 // ReadRestore decodes a snapshot previously written by WriteSnapshot
-// and returns cfg with the matching restore field filled: weighted
-// configs (Weights set) decode a class bank into RestoreWeighted,
-// sketch configs a v1 sketch into Restore, sieve configs a swap buffer
-// into RestoreState. The config must repeat the writing engine's
-// parameters.
+// with the config's engine mode and returns cfg with Restore filled.
+// The config must repeat the writing engine's parameters.
 func ReadRestore(cfg Config, r io.Reader) (Config, error) {
 	mode, err := cfg.EngineMode()
 	if err != nil {
@@ -1140,14 +1095,7 @@ func ReadRestore(cfg Config, r io.Reader) (Config, error) {
 		}
 		return cfg, fmt.Errorf("server: restoring snapshot: %w", err)
 	}
-	switch s := st.(type) {
-	case sketchState:
-		cfg.Restore = s.sk
-	case bankState:
-		cfg.RestoreWeighted = s.bank
-	default:
-		cfg.RestoreState = st
-	}
+	cfg.Restore = st
 	return cfg, nil
 }
 
@@ -1200,9 +1148,9 @@ type Stats struct {
 	// snapshot's class bank (weighted engines only).
 	Weighted      bool `json:"weighted,omitempty"`
 	WeightClasses int  `json:"weight_classes,omitempty"`
-	// Engine names the engine mode for non-default modes (currently only
-	// "sieve"); empty for the sketch and weighted planes, whose stats
-	// shape predates the field.
+	// Engine names the engine mode for modes other than sketch and
+	// weighted ("dynamic"); empty for those two planes, whose stats shape
+	// predates the field.
 	Engine ModeName `json:"engine,omitempty"`
 	// ShardStats holds each shard state's accounting, in shard order.
 	ShardStats []core.Stats `json:"shard_stats"`
@@ -1239,9 +1187,7 @@ func (e *Engine) Stats() (*Stats, error) {
 		RefreshSkips:      e.refreshSkips.Load(),
 		RefreshErrors:     e.refreshErrors.Load(),
 		Weighted:          e.Weighted(),
-	}
-	if name := e.mode.Name(); name != ModeSketch && name != ModeWeighted {
-		st.Engine = name
+		Engine:            engineField(e.mode.Name()),
 	}
 	if e.cache != nil {
 		st.QueryCacheEntries = e.cache.len()

@@ -254,7 +254,7 @@ const (
 	// HeaderEdges is the decimal ingested-edge total the blob reflects.
 	HeaderEdges = "X-Cov-Edges"
 	// HeaderEngine is the serving engine's mode name ("sketch",
-	// "weighted", "sieve") — peers refuse to merge a blob produced by a
+	// "weighted", "dynamic") — peers refuse to merge a blob produced by a
 	// different engine mode. Absent on responses from servers that
 	// predate the engine-mode plane; receivers treat it as advisory.
 	HeaderEngine = "X-Cov-Engine"
@@ -622,7 +622,8 @@ type createNamespaceRequest struct {
 	QueryCache   int           `json:"query_cache"`
 	Weights      *weightsFrame `json:"weights,omitempty"`
 	// Engine selects the engine mode by name ("sketch", "weighted",
-	// "sieve"); empty defaults as in Config.EngineMode.
+	// "dynamic"); empty defaults as in Config.EngineMode. A removed mode
+	// is a 400 naming the removal (ErrModeRemoved).
 	Engine string `json:"engine,omitempty"`
 }
 
@@ -700,9 +701,7 @@ func (r *snapshotResponse) fill(s *Snapshot) {
 		r.Weighted = true
 		r.WeightClasses = s.Bank().Classes()
 	}
-	if name := s.ModeName(); name != ModeSketch && name != ModeWeighted {
-		r.Engine = name
-	}
+	r.Engine = engineField(s.ModeName())
 }
 
 // StatusFor maps service errors to HTTP codes: a closed engine or a

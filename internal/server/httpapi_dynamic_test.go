@@ -156,14 +156,14 @@ func TestHTTPDeleteRejectedOnLegacyEngines(t *testing.T) {
 
 	for _, ns := range []string{
 		`{"name":"sk","num_sets":10,"k":3,"eps":0.5,"seed":1,"num_elems":100,"engine":"sketch"}`,
-		`{"name":"sv","num_sets":10,"k":3,"eps":0.5,"seed":1,"num_elems":100,"engine":"sieve"}`,
+		`{"name":"w","num_sets":10,"k":3,"eps":0.5,"seed":1,"num_elems":100,"weights":{"default":1}}`,
 	} {
 		if resp, out := doJSON(t, "POST", ts.URL+"/v1/ns", ns); resp.StatusCode != http.StatusCreated {
 			t.Fatalf("create: %d: %s", resp.StatusCode, out)
 		}
 	}
 
-	for _, name := range []string{"sk", "sv"} {
+	for _, name := range []string{"sk", "w"} {
 		// Insert-only ops bodies are fine on any engine…
 		resp, out := doJSON(t, "POST", ts.URL+"/v1/ns/"+name+"/edges",
 			`{"ops":[[0,1,2],[0,3,4]]}`)

@@ -64,6 +64,11 @@ func TestHTTPNamespaceCRUD(t *testing.T) {
 	if resp, _ := doJSON(t, "POST", ts.URL+"/v1/ns", `{"name":"nok","num_sets":5}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing k: got %d want 400", resp.StatusCode)
 	}
+	// A removed engine mode: bad request, and the body names the removal.
+	if resp, out := doJSON(t, "POST", ts.URL+"/v1/ns", `{"name":"old","num_sets":5,"k":1,"engine":"sieve"}`); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(string(out), ErrModeRemoved.Error()) {
+		t.Fatalf("removed engine: got %d %s, want 400 naming %q", resp.StatusCode, out, ErrModeRemoved)
+	}
 
 	// List reflects both, sorted, with the default flagged.
 	resp, out := doJSON(t, "GET", ts.URL+"/v1/ns", "")

@@ -106,19 +106,24 @@ func appendMultiMetrics(w *MetricsWriter, m *Multi) {
 		if !ok {
 			continue
 		}
-		c := e.Counters()
-		ns := []Label{{"ns", name}}
-		w.Counter("covserved_ingested_edges_total", "Edges accepted by Ingest.", ns, float64(c.IngestedEdges))
-		w.Counter("covserved_ingest_batches_total", "Ingest calls that delivered edges.", ns, float64(c.Batches))
-		w.Counter("covserved_ingest_stalls_total", "Shard-mailbox sends that found the mailbox full (backpressure).", ns, float64(c.IngestStalls))
-		w.Counter("covserved_queries_total", "Queries served (cache hits included).", ns, float64(c.Queries))
-		w.Counter("covserved_query_cache_hits_total", "Queries answered from the memoized result cache.", ns, float64(c.QueryCacheHits))
-		w.Counter("covserved_refreshes_total", "Coordinator merges that actually ran.", ns, float64(c.Refreshes))
-		w.Counter("covserved_refresh_skips_total", "Refresh calls satisfied by the idle short-circuit.", ns, float64(c.RefreshSkips))
-		w.Counter("covserved_refresh_errors_total", "Background merge failures.", ns, float64(c.RefreshErrors))
-		w.Gauge("covserved_snapshot_seq", "Current merged snapshot sequence number.", ns, float64(c.SnapshotSeq))
-		w.Gauge("covserved_snapshot_edges", "Ingested-edge count the current snapshot reflects.", ns, float64(c.SnapshotEdges))
+		appendCounters(w, []Label{{"ns", name}}, e.Counters())
 	}
+}
+
+// appendCounters writes one namespace's Counters, one family per field.
+func appendCounters(w *MetricsWriter, ns []Label, c Counters) {
+	w.Counter("covserved_ingested_edges_total", "Edges accepted by Ingest.", ns, float64(c.IngestedEdges))
+	w.Counter("covserved_ingest_batches_total", "Ingest calls that delivered edges.", ns, float64(c.Batches))
+	w.Counter("covserved_ingest_stalls_total", "Shard-mailbox sends that found the mailbox full (backpressure).", ns, float64(c.IngestStalls))
+	w.Counter("covserved_deleted_edges_total", "Delete ops accepted (dynamic engine; 0 on append-only modes).", ns, float64(c.DeletedEdges))
+	w.Counter("covserved_sampler_recoveries_total", "Published dynamic-engine snapshots, one successful L0 sampler decode each.", ns, float64(c.SamplerRecoveries))
+	w.Counter("covserved_queries_total", "Queries served (cache hits included).", ns, float64(c.Queries))
+	w.Counter("covserved_query_cache_hits_total", "Queries answered from the memoized result cache.", ns, float64(c.QueryCacheHits))
+	w.Counter("covserved_refreshes_total", "Coordinator merges that actually ran.", ns, float64(c.Refreshes))
+	w.Counter("covserved_refresh_skips_total", "Refresh calls satisfied by the idle short-circuit.", ns, float64(c.RefreshSkips))
+	w.Counter("covserved_refresh_errors_total", "Background merge failures.", ns, float64(c.RefreshErrors))
+	w.Gauge("covserved_snapshot_seq", "Current merged snapshot sequence number.", ns, float64(c.SnapshotSeq))
+	w.Gauge("covserved_snapshot_edges", "Ingested-edge count the current snapshot reflects.", ns, float64(c.SnapshotEdges))
 }
 
 // NewMetricsHandler serves GET /metrics over a namespace directory plus

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -153,18 +154,20 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// Expected families, with their types.
 	wantTypes := map[string]string{
-		"covserved_namespaces":             "gauge",
-		"covserved_ingested_edges_total":   "counter",
-		"covserved_ingest_batches_total":   "counter",
-		"covserved_ingest_stalls_total":    "counter",
-		"covserved_queries_total":          "counter",
-		"covserved_query_cache_hits_total": "counter",
-		"covserved_refreshes_total":        "counter",
-		"covserved_refresh_skips_total":    "counter",
-		"covserved_refresh_errors_total":   "counter",
-		"covserved_snapshot_seq":           "gauge",
-		"covserved_snapshot_edges":         "gauge",
-		"covserved_test_extra_total":       "counter",
+		"covserved_namespaces":               "gauge",
+		"covserved_ingested_edges_total":     "counter",
+		"covserved_ingest_batches_total":     "counter",
+		"covserved_ingest_stalls_total":      "counter",
+		"covserved_deleted_edges_total":      "counter",
+		"covserved_sampler_recoveries_total": "counter",
+		"covserved_queries_total":            "counter",
+		"covserved_query_cache_hits_total":   "counter",
+		"covserved_refreshes_total":          "counter",
+		"covserved_refresh_skips_total":      "counter",
+		"covserved_refresh_errors_total":     "counter",
+		"covserved_snapshot_seq":             "gauge",
+		"covserved_snapshot_edges":           "gauge",
+		"covserved_test_extra_total":         "counter",
 	}
 	for family, typ := range wantTypes {
 		if got := s1.types[family]; got != typ {
@@ -239,5 +242,38 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if cl := rec.Header().Get("Content-Length"); cl == "" || cl == "0" {
 		t.Fatalf("HEAD Content-Length = %q", cl)
+	}
+}
+
+// TestMetricsExportEveryCounter walks Counters by reflection: every
+// field gets a distinct sentinel value, and the namespace metrics must
+// carry each sentinel in exactly one sample — so a counter added to
+// Counters cannot go unexported.
+func TestMetricsExportEveryCounter(t *testing.T) {
+	const base = 1000
+	var c Counters
+	v := reflect.ValueOf(&c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int64:
+			f.SetInt(int64(base + i))
+		case reflect.Uint64:
+			f.SetUint(uint64(base + i))
+		default:
+			t.Fatalf("Counters.%s: unhandled kind %s", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	var w MetricsWriter
+	appendCounters(&w, []Label{{"ns", "x"}}, c)
+	s := parseMetrics(t, w.buf.String())
+	byValue := make(map[float64][]string)
+	for key, val := range s.samples {
+		byValue[val] = append(byValue[val], key)
+	}
+	for i := 0; i < v.NumField(); i++ {
+		if keys := byValue[float64(base+i)]; len(keys) != 1 {
+			t.Errorf("Counters.%s is exported by %d samples %v, want exactly 1",
+				v.Type().Field(i).Name, len(keys), keys)
+		}
 	}
 }

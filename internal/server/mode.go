@@ -17,11 +17,12 @@ package server
 //     Snapshot.
 //
 // Three modes implement the plane: "sketch" (the paper's H≤n sketch,
-// the default), "weighted" (PR 5's per-weight-class bank, selected by
-// Config.Weights) and "sieve" (the constant-memory swap buffer of
-// internal/sieve, selected by Config.Engine). The two pre-existing
-// modes are pure re-expressions — same types, same merge policy, same
-// wire bytes — so their behavior and snapshot frames are unchanged.
+// the default), "weighted" (the per-weight-class bank, selected by
+// Config.Weights) and "dynamic" (the insert/delete L0 sampler of
+// internal/l0, selected by Config.Engine; see dynamic.go). The sketch
+// and weighted modes are pure re-expressions of the pre-plane engine —
+// same types, same merge policy, same wire bytes — so their behavior
+// and snapshot frames are unchanged.
 
 import (
 	"errors"
@@ -32,7 +33,6 @@ import (
 	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/greedy"
-	"repro/internal/sieve"
 	"repro/internal/weighted"
 )
 
@@ -47,9 +47,6 @@ const (
 	// ModeWeighted serves weighted coverage: one sketch per geometric
 	// weight class (internal/weighted). Selected by Config.Weights.
 	ModeWeighted ModeName = "weighted"
-	// ModeSieve is the constant-memory swap buffer (internal/sieve): at
-	// most K candidate sets per shard, single-pass, order-dependent.
-	ModeSieve ModeName = "sieve"
 	// ModeDynamic serves insert/delete (turnstile) streams with the
 	// leveled L0 edge sampler (internal/l0), after Chakrabarti–McGregor–
 	// Wirth. The only mode whose ApplyOps accepts deletes.
@@ -58,7 +55,7 @@ const (
 
 // ErrDeletesUnsupported is returned (wrapped, with the engine name)
 // when a delete op reaches an append-only engine mode. The paper's H≤n
-// sketch — and the weighted bank and sieve built on the same shape —
+// sketch — and the weighted bank built on the same shape —
 // subsample and *discard* stream suffix information; once an edge has
 // been dropped by the eviction bar there is nothing to subtract a
 // delete from, so these modes reject deletes outright rather than
@@ -78,9 +75,9 @@ func rejectDeletes(name ModeName, add func([]bipartite.Edge), ops []bipartite.Op
 }
 
 // ShardState is the state a single ingest shard owns — and, after a
-// coordinator merge, the state a Snapshot carries. The three engine
-// modes (H≤n sketch, weighted class bank, sieve swap buffer) implement
-// it with the lifecycle verbs they already shared.
+// coordinator merge, the state a Snapshot carries. The engine modes
+// (H≤n sketch, weighted class bank, dynamic L0 sampler) implement it
+// with the lifecycle verbs they share.
 type ShardState interface {
 	// AddEdges absorbs one routed batch of inserts. Only the owning
 	// shard goroutine calls it.
@@ -149,14 +146,31 @@ type Mode interface {
 	Execute(s *Snapshot, q Query) (*QueryResult, error)
 }
 
+// ErrModeRemoved is returned (wrapped, with the mode name) when a
+// configuration names an engine mode this build no longer serves. Every
+// entry point that can name a mode — POST /v1/ns, a snapshot-v2
+// container frame, a WAL config.json sidecar, covserved -engine and
+// streamcover.ServiceOptions.Engine — resolves it through
+// Config.EngineMode, so an old config fails here with this typed error
+// instead of "unknown engine".
+var ErrModeRemoved = errors.New("engine mode removed")
+
+// removedSieve is the edge-arrival sieve-streaming mode. Its swap buffer
+// assumed each set arrives whole; under edge arrival it kept no
+// guarantee (0.254× offline greedy in the mode comparison, and an
+// estimate below the true coverage of its own answer). The set-arrival
+// baseline stays as baselines.SieveKCover.
+const removedSieve ModeName = "sieve"
+
 // EngineMode resolves the config to its engine mode: Config.Engine when
 // set ("" defaults to "weighted" iff Weights is configured, else
 // "sketch"), validated against the weight configuration — the weighted
-// mode requires Weights, the other modes refuse it.
+// mode requires Weights, the other modes refuse it. A removed mode name
+// fails with ErrModeRemoved.
 func (c Config) EngineMode() (Mode, error) {
 	name := c.engineName()
 	switch name {
-	case ModeSketch, ModeSieve, ModeDynamic:
+	case ModeSketch, ModeDynamic:
 		if c.Weights != nil {
 			return nil, fmt.Errorf("server: engine %q does not take Weights (use the weighted engine)", name)
 		}
@@ -164,9 +178,12 @@ func (c Config) EngineMode() (Mode, error) {
 		if c.Weights == nil {
 			return nil, fmt.Errorf("server: the weighted engine requires Weights")
 		}
+	case removedSieve:
+		return nil, fmt.Errorf("server: engine %q: %w (its edge-arrival answers carried no guarantee; use %q)",
+			name, ErrModeRemoved, ModeSketch)
 	default:
-		return nil, fmt.Errorf("server: unknown engine %q (known: %q, %q, %q, %q)",
-			name, ModeSketch, ModeWeighted, ModeSieve, ModeDynamic)
+		return nil, fmt.Errorf("server: unknown engine %q (known: %q, %q, %q)",
+			name, ModeSketch, ModeWeighted, ModeDynamic)
 	}
 	switch name {
 	case ModeWeighted:
@@ -177,8 +194,6 @@ func (c Config) EngineMode() (Mode, error) {
 			fn:      c.Weights.Fn(),
 			sig:     c.Weights.Signature(),
 		}, nil
-	case ModeSieve:
-		return sieveMode{numSets: c.NumSets, k: c.K}, nil
 	case ModeDynamic:
 		return dynamicMode{numSets: c.NumSets, params: c.DynamicParams()}, nil
 	}
@@ -194,6 +209,18 @@ func (c Config) engineName() ModeName {
 		return ModeWeighted
 	}
 	return ModeSketch
+}
+
+// engineField is the value of the omitempty "engine" field in stats,
+// snapshot responses, namespace listings and snapshot-v2 config frames:
+// the mode name when it cannot be re-derived from the other fields
+// ("sketch" is the default, "weighted" is implied by the weights), else
+// empty — so sketch and weighted shapes and bytes predate the field.
+func engineField(name ModeName) ModeName {
+	if name == ModeSketch || name == ModeWeighted {
+		return ""
+	}
+	return name
 }
 
 // ---- sketch mode (unweighted H≤n sketch, the default) ----
@@ -389,101 +416,6 @@ func (m weightedMode) Execute(snap *Snapshot, q Query) (*QueryResult, error) {
 		PStar:             snap.pStar(),
 		Weighted:          true,
 		WeightClasses:     snap.Bank().Classes(),
-		SnapshotSeq:       snap.Seq,
-		SnapshotEdges:     snap.IngestedEdges,
-	}, nil
-}
-
-// ---- sieve mode (constant-memory swap buffer, Config.Engine) ----
-
-type sieveState struct{ buf *sieve.Buffer }
-
-func (s sieveState) AddEdges(edges []bipartite.Edge) { s.buf.AddEdges(edges) }
-func (s sieveState) ApplyOps(ops []bipartite.Op) error {
-	return rejectDeletes(ModeSieve, s.AddEdges, ops)
-}
-func (s sieveState) CloneState() ShardState { return sieveState{s.buf.Clone()} }
-func (s sieveState) Stats() core.Stats      { return s.buf.Stats() }
-func (s sieveState) SetEdgesSeen(n int64)   { s.buf.SetEdgesSeen(n) }
-func (s sieveState) WriteTo(w io.Writer) (int64, error) {
-	return s.buf.WriteTo(w)
-}
-
-func (s sieveState) MergeFrom(other ShardState) error {
-	o, ok := other.(sieveState)
-	if !ok {
-		return fmt.Errorf("server: cannot merge %T state into a sieve engine", other)
-	}
-	return s.buf.Merge(o.buf)
-}
-
-type sieveMode struct{ numSets, k int }
-
-func (m sieveMode) Name() ModeName        { return ModeSieve }
-func (m sieveMode) SupportsDeletes() bool { return false }
-func (m sieveMode) Signature() uint64     { return 0 }
-
-func (m sieveMode) NewShardState() (ShardState, error) {
-	buf, err := sieve.NewBuffer(m.numSets, m.k)
-	if err != nil {
-		return nil, err
-	}
-	return sieveState{buf}, nil
-}
-
-func (m sieveMode) MergeStates(states []ShardState) (ShardState, error) {
-	fresh, err := sieve.NewBuffer(m.numSets, m.k)
-	if err != nil {
-		return nil, err
-	}
-	// Canonical fold: each state's kept edges replay through the swap
-	// rule in ascending (set, elem) order, states in shard order. Not
-	// order-invariant over the original streams (the sieve trades that
-	// for its constant buffer) but deterministic, and the single-state
-	// fold reproduces the state exactly — the shards=1 service answer
-	// therefore matches the one-shot sieve.KCover reference.
-	for _, st := range states {
-		s, ok := st.(sieveState)
-		if !ok {
-			return nil, fmt.Errorf("server: cannot merge %T state into a sieve engine", st)
-		}
-		if err := fresh.Merge(s.buf); err != nil {
-			return nil, err
-		}
-	}
-	return sieveState{fresh}, nil
-}
-
-func (m sieveMode) ReadState(r io.Reader) (ShardState, error) {
-	buf, err := sieve.ReadBuffer(r, m.numSets, m.k)
-	if err != nil {
-		return nil, err
-	}
-	return sieveState{buf}, nil
-}
-
-func (m sieveMode) Materialize(st ShardState) (*materialized, error) {
-	s, ok := st.(sieveState)
-	if !ok {
-		return nil, fmt.Errorf("server: cannot materialize %T state on a sieve engine", st)
-	}
-	g, ids := s.buf.Graph()
-	return &materialized{graph: g, ids: ids}, nil
-}
-
-func (m sieveMode) Execute(snap *Snapshot, q Query) (*QueryResult, error) {
-	res := greedy.MaxCover(snap.graph, q.K)
-	return &QueryResult{
-		Algo:           q.Algo,
-		Sets:           res.Sets,
-		SketchCoverage: res.Covered,
-		// The buffer holds true element ids (no subsampling): coverage of
-		// the buffered universe is exact, so the estimate is the count
-		// itself and p* is 1.
-		EstimatedCoverage: float64(res.Covered),
-		SampledElements:   snap.graph.NumElems(),
-		PStar:             1,
-		Engine:            ModeSieve,
 		SnapshotSeq:       snap.Seq,
 		SnapshotEdges:     snap.IngestedEdges,
 	}, nil

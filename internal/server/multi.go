@@ -208,8 +208,8 @@ type NamespaceInfo struct {
 	// Weighted reports whether the namespace serves weighted coverage
 	// (Config.Weights set).
 	Weighted bool `json:"weighted,omitempty"`
-	// Engine names a non-default engine mode (currently only "sieve");
-	// omitted for the sketch and weighted modes, whose listing shape
+	// Engine names an engine mode other than sketch and weighted
+	// ("dynamic"); omitted for those two modes, whose listing shape
 	// predates the field.
 	Engine ModeName `json:"engine,omitempty"`
 	// IngestedEdges is the number of edges the namespace has accepted.
@@ -232,7 +232,7 @@ func infoFor(name string, e *Engine, isDefault bool) NamespaceInfo {
 		Seed:          cfg.Seed,
 		Shards:        cfg.shards(),
 		Weighted:      cfg.Weights != nil,
-		Engine:        nonDefaultEngine(*cfg),
+		Engine:        engineField(cfg.engineName()),
 		IngestedEdges: e.IngestedEdges(),
 	}
 	if snap := e.snap.Load(); snap != nil {

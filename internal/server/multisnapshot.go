@@ -57,10 +57,11 @@ type configFrame struct {
 	MergeEvery  int64         `json:"merge_every_ns,omitempty"`
 	QueryCache  int           `json:"query_cache,omitempty"`
 	Weights     *weightsFrame `json:"weights,omitempty"`
-	// Engine names a non-default engine mode (currently only "sieve").
-	// Omitted for sketch and weighted namespaces, so files written before
-	// the engine-mode plane — and files those modes write today — stay
-	// byte-identical.
+	// Engine names an engine mode other than sketch and weighted
+	// ("dynamic"). Omitted for sketch and weighted namespaces, so files
+	// written before the engine-mode plane — and files those modes write
+	// today — stay byte-identical. A frame naming a removed mode fails
+	// the restore with ErrModeRemoved.
 	Engine ModeName `json:"engine,omitempty"`
 }
 
@@ -78,18 +79,8 @@ func frameFromConfig(cfg Config) configFrame {
 		MergeEvery:  int64(cfg.MergeEvery),
 		QueryCache:  cfg.QueryCache,
 		Weights:     weightsFromConfig(cfg.Weights),
-		Engine:      nonDefaultEngine(cfg),
+		Engine:      engineField(cfg.engineName()),
 	}
-}
-
-// nonDefaultEngine reports the config's engine name when it cannot be
-// re-derived from the frame's other fields ("sketch" is the default,
-// "weighted" is implied by the weights frame).
-func nonDefaultEngine(cfg Config) ModeName {
-	if name := cfg.engineName(); name != ModeSketch && name != ModeWeighted {
-		return name
-	}
-	return ""
 }
 
 func (f configFrame) config() Config {
@@ -185,7 +176,7 @@ func (m *Multi) RestoreAll(r io.Reader) (int, error) {
 		return 0, fmt.Errorf("server: reading snapshot header: %w", err)
 	}
 	if string(magic) != MultiSnapshotMagic {
-		return 0, fmt.Errorf("server: bad snapshot magic %q (want %q; single-sketch %q files restore via Config.Restore)",
+		return 0, fmt.Errorf("server: bad snapshot magic %q (want %q; single-sketch %q files restore via ReadRestore)",
 			magic, MultiSnapshotMagic, core.SketchMagic)
 	}
 	var count uint32
@@ -223,9 +214,8 @@ func (m *Multi) RestoreAll(r io.Reader) (int, error) {
 		if _, err := io.CopyN(&blob, br, int64(blobLen)); err != nil {
 			return restored, fmt.Errorf("server: reading namespace %q sketch: %w", name, err)
 		}
-		// The frame's config decides the blob format: weighted namespaces
-		// persist a class bank, unweighted ones a v1 sketch. ReadRestore
-		// fills the matching Config restore field.
+		// The frame's config decides the blob format through its engine
+		// mode; ReadRestore decodes it into Config.Restore.
 		cfg, err := ReadRestore(frame.config(), bytes.NewReader(blob.Bytes()))
 		if err != nil {
 			return restored, fmt.Errorf("server: decoding namespace %q state: %w", name, err)

@@ -1,14 +1,14 @@
 package tables
 
 // This file implements the mode-comparison experiment: the three engine
-// modes (sketch, weighted with uniform weights, sieve) head to head on
+// modes (sketch, weighted with uniform weights, dynamic) head to head on
 // the same instance and the same shuffled stream, through the full
 // service path — sharded Ingest, coordinator Refresh, kcover Query.
 // With uniform weights the weighted engine answers the same cardinality
-// question as the sketch, so the coverage columns are directly
-// comparable; the sieve row shows what the constant-memory swap buffer
-// trades for its k-set footprint. `covbench -run mode-comparison -json`
-// produces the BENCH_modes.json trajectory line.
+// question as the sketch, and the dynamic engine fed an insert-only
+// stream answers it from its L0 sampler, so the coverage columns are
+// directly comparable. `covbench -run mode-comparison -json` produces
+// the BENCH_modes.json trajectory line.
 
 import (
 	"fmt"
@@ -85,8 +85,8 @@ func RunModeComparison(cfg Config) []*stats.Table {
 
 	weightedCfg := base
 	weightedCfg.Weights = &server.WeightConfig{Default: 1}
-	sieveCfg := base
-	sieveCfg.Engine = server.ModeSieve
+	dynamicCfg := base
+	dynamicCfg.Engine = server.ModeDynamic
 
 	rows := []struct {
 		name string
@@ -94,7 +94,7 @@ func RunModeComparison(cfg Config) []*stats.Table {
 	}{
 		{"sketch", base},
 		{"weighted (uniform)", weightedCfg},
-		{"sieve", sieveCfg},
+		{"dynamic", dynamicCfg},
 	}
 
 	tbl := &stats.Table{
@@ -105,7 +105,8 @@ func RunModeComparison(cfg Config) []*stats.Table {
 		Notes: []string{
 			"same instance and stream for every row; sharded ingest (2 shards) + merge + kcover query",
 			"weighted row runs uniform weight 1, so its coverage is the same cardinality objective",
-			fmt.Sprintf("sieve keeps at most k candidate sets per shard; best of %d trials per row", cfg.trials()),
+			"dynamic row feeds the insert/delete sampler an insert-only stream",
+			fmt.Sprintf("best of %d trials per row", cfg.trials()),
 		},
 	}
 

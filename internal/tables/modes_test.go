@@ -14,7 +14,7 @@ func TestModeComparisonShape(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("expected 3 mode rows, got %d", len(rows))
 	}
-	want := []string{"sketch", "weighted (uniform)", "sieve"}
+	want := []string{"sketch", "weighted (uniform)", "dynamic"}
 	for i, row := range rows {
 		if row[0] != want[i] {
 			t.Fatalf("row %d is %q, want %q", i, row[0], want[i])

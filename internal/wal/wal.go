@@ -8,7 +8,7 @@
 // through the normal ingest path, and because the paper's sketch is a
 // deterministic function of the routed per-shard streams the recovered
 // engine is bit-identical to one that never crashed (the server
-// package's fault-injection tests pin this for all three engine modes).
+// package's fault-injection tests pin this for every engine mode).
 //
 // # On-disk format
 //

@@ -161,8 +161,8 @@ func TestDeleteRejectedOnLegacyServices(t *testing.T) {
 		"sketch": func() (*Service, error) {
 			return NewService(n, ServiceOptions{Options: Options{Seed: 3, NumElems: 100}, K: 3})
 		},
-		"sieve": func() (*Service, error) {
-			return NewSieveService(n, ServiceOptions{Options: Options{Seed: 3, NumElems: 100}, K: 3, Shards: 1})
+		"weighted": func() (*Service, error) {
+			return NewWeightedService(n, Weights{Default: 1}, ServiceOptions{Options: Options{Seed: 3, NumElems: 100}, K: 3})
 		},
 	}
 	for name, ctor := range mk {

@@ -2,8 +2,11 @@ package streamcover
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
+
+	"repro/internal/server"
 )
 
 func TestServiceMatchesMaxCoverage(t *testing.T) {
@@ -181,6 +184,10 @@ func TestServiceValidation(t *testing.T) {
 	}
 	if _, err := NewService(5, ServiceOptions{}); err == nil {
 		t.Fatal("K=0 accepted")
+	}
+	// The edge-arrival sieve mode was removed; naming it is a typed error.
+	if _, err := NewService(5, ServiceOptions{K: 2, Engine: "sieve"}); !errors.Is(err, server.ErrModeRemoved) {
+		t.Fatalf("Engine=sieve: err = %v, want ErrModeRemoved", err)
 	}
 	svc, err := NewService(5, ServiceOptions{K: 2, Shards: 2})
 	if err != nil {

@@ -110,9 +110,8 @@ func ingestOverHTTP(t *testing.T, base string, edges []Edge, batch int) {
 // workload generator and every engine mode, ingesting the same edge
 // stream through a wire connection (with a mid-stream reconnect and
 // overlapping resend) and through JSON posts (with a different batch
-// size) must produce bit-identical query answers — and, for the
-// merge-invariant sketch and weighted modes, the identical answer to
-// the one-shot MaxCoverage / MaxWeightedCoverage run.
+// size) must produce bit-identical query answers — and the identical
+// answer to the one-shot MaxCoverage / MaxWeightedCoverage run.
 func TestWireEquivalenceAcrossModes(t *testing.T) {
 	const k = 4
 	generators := []struct {
@@ -127,7 +126,7 @@ func TestWireEquivalenceAcrossModes(t *testing.T) {
 		{"large-sets", GenerateLargeSets(12, 2000, 0.3, 6)},
 		{"clustered", GenerateClustered(40, 300, 5, 7)},
 	}
-	modes := []string{"sketch", "weighted", "sieve"}
+	modes := []string{"sketch", "weighted"}
 
 	for _, g := range generators {
 		n, m := g.inst.NumSets(), g.inst.NumElems()
@@ -151,12 +150,8 @@ func TestWireEquivalenceAcrossModes(t *testing.T) {
 		for _, mode := range modes {
 			t.Run(g.name+"/"+mode, func(t *testing.T) {
 				opt := ServiceOptions{Options: base, K: k, Shards: 3, BatchQueue: 4}
-				switch mode {
-				case "weighted":
+				if mode == "weighted" {
 					opt.Weights = &weights
-				case "sieve":
-					opt.Engine = "sieve"
-					opt.Shards = 1 // the sieve engine is order-dependent; one shard keeps the stream order exact
 				}
 
 				newNS := func(hub *Hub) *Service {
@@ -206,7 +201,7 @@ func TestWireEquivalenceAcrossModes(t *testing.T) {
 					t.Fatalf("wire result diverged from HTTP result:\nwire: %+v\nhttp: %+v", wireRes, httpRes)
 				}
 
-				// The merge-invariant modes also pin to the one-shot runs.
+				// Both modes also pin to the one-shot runs.
 				replay := &SliceStream{Edges: edges}
 				switch mode {
 				case "sketch":
